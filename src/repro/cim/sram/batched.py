@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.cim.sram.native import popcount_mvm_kernel
 from repro.errors import DimensionError
-from repro.vsa.codebook import Codebook, codebook_fingerprint
+from repro.vsa.codebook import Codebook
 
 #: Lanes per packed word.
 WORD_BITS = 64
@@ -236,7 +236,7 @@ class PackedCodebookCache:
         """Packed bit-planes for ``codebook``, packing on first sight."""
         from repro.telemetry import get_log
 
-        key = codebook_fingerprint(codebook)
+        key = codebook.fingerprint
         log = get_log()
         cached = self._entries.get(key)
         if cached is not None:

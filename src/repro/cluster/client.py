@@ -47,7 +47,6 @@ from repro.errors import (
     WorkerLostError,
 )
 from repro.service.http.client import HTTPTransport, RetryPolicy
-from repro.service.registry import codebook_fingerprint
 from repro.service.request import FactorizationRequest, FactorizationResponse
 from repro.service.transport import (
     ResponseOrError,
@@ -419,7 +418,7 @@ class ClusterClient(Transport):
         each replica's answer is asserted against it (a mismatch would
         mean a wire corruption, not a version skew).
         """
-        key = codebook_fingerprint(codebooks)
+        key = codebooks.fingerprint
         self._ledger.remember(key, codebooks)
         shard_map = self._map
         replicas = shard_map.replicas(key, self.replication)

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +77,7 @@ from repro.cim.rram.device import RRAMDeviceModel
 from repro.cim.rram.noise import NoiseParameters
 from repro.errors import ConfigurationError
 from repro.resonator.backends import (
+    STACKS,
     CodebookBatch,
     MVMBackend,
     batch_geometry,
@@ -84,7 +85,7 @@ from repro.resonator.backends import (
 )
 from repro.resonator.stochastic import ThresholdPolicy
 from repro.utils.rng import RandomState, as_rng, fresh_seed
-from repro.vsa.codebook import Codebook, codebook_fingerprint
+from repro.vsa.codebook import Codebook
 
 #: Spawn-key tag separating a trial's noise stream from its init stream
 #: (both may be derived from the same request seed).
@@ -128,7 +129,7 @@ class ConductanceCache:
         """Programmed conductances for the key, programming on first sight."""
         from repro.telemetry import get_log
 
-        fingerprint = codebook_fingerprint(codebook)
+        fingerprint = codebook.fingerprint
         key = (fingerprint, device, geometry, grid_bits, program_seed)
         log = get_log()
         with self._lock:
@@ -187,9 +188,10 @@ CONDUCTANCE_CACHE = ConductanceCache()
 class _StackedConductances:
     """Stacked tensors for a per-trial programmed-codebook batch.
 
-    Built once per (codebook tuple) and LRU-cached by object identity, the
-    same pattern as the exact backend's ``_StackCache``: compactions of
-    the batched network's active set rebuild at most ``log2(T)`` times.
+    Built once per tuple of codebook fingerprints and kept in the shared
+    stack store (:data:`~repro.resonator.backends.STACKS`):
+    compactions of the batched network's active set rebuild at most
+    ``log2(T)`` times.
     """
 
     def __init__(self, progs: Sequence[ProgrammedConductances]) -> None:
@@ -284,10 +286,6 @@ class CIMBatchedBackend(MVMBackend):
         self._streams: List[np.random.Generator] = []
         self._bound = False
         self._rows: Optional[np.ndarray] = None
-        self._sigma_cache: Dict[int, Tuple[ProgrammedConductances, np.ndarray]] = {}
-        self._stacks: "OrderedDict[Tuple[int, ...], Tuple[List, _StackedConductances]]" = (
-            OrderedDict()
-        )
         self.deterministic = (
             self.device.sigma_read == 0
             and self._residual_z == 0
@@ -364,41 +362,18 @@ class CIMBatchedBackend(MVMBackend):
             program_seed=self.program_seed,
         )
 
-    def _tile_sigma(self, prog: ProgrammedConductances) -> np.ndarray:
-        """Per-tile per-column total read sigma (device + residual)."""
-        key = id(prog)
-        entry = self._sigma_cache.get(key)
-        # The entry pins `prog` (same pattern as the stacked-tensor
-        # cache): an id-based key must never outlive its object, or a
-        # recycled address could serve another codebook's sigmas.
-        if entry is None or entry[0] is not prog:
-            slices = self.geometry.row_slices(prog.dim)
-            tile_rows = np.array(
-                [s.stop - s.start for s in slices], dtype=np.float64
-            )
-            sigma = np.sqrt(
-                prog.sim_read_sigma**2
-                + (self._residual_z**2) * tile_rows[:, None]
-            )
-            if len(self._sigma_cache) > 16:
-                self._sigma_cache.clear()
-            self._sigma_cache[key] = (prog, sigma)
-            return sigma
-        return entry[1]
-
     def _stacked(self, books: Sequence[Codebook]) -> _StackedConductances:
-        key = tuple(id(book) for book in books)
-        entry = self._stacks.get(key)
-        if entry is not None:
-            self._stacks.move_to_end(key)
-            return entry[1]
-        progs = [self.programmed_for(book) for book in books]
-        stacked = _StackedConductances(progs)
-        while len(self._stacks) >= 4:
-            self._stacks.popitem(last=False)
-        # Hold the codebooks so the id-based key stays pinned.
-        self._stacks[key] = (list(books), stacked)
-        return stacked
+        kind = (
+            "conductances", self.device, self.geometry, self.grid_bits,
+            self.program_seed,
+        )
+        return STACKS.get(
+            kind,
+            books,
+            lambda: _StackedConductances(
+                [self.programmed_for(book) for book in books]
+            ),
+        )
 
     # -- similarity chain scales ------------------------------------------
 
@@ -440,18 +415,17 @@ class CIMBatchedBackend(MVMBackend):
         if shared:
             prog = self.programmed_for(codebooks)
             unit_scale = prog.unit_scale
-            sigma = self._tile_sigma(prog)[None, :, :]  # (1, tiles, M)
+            read_sigma = prog.sim_read_sigma[None]  # (1, tiles, M)
         else:
             books = codebooks_per_trial(codebooks, trials)
             stacked = self._stacked(books)
             unit_scale = self.programmed_for(books[0]).unit_scale
-            tile_rows = np.array(
-                [s.stop - s.start for s in slices], dtype=np.float64
-            )
-            sigma = np.sqrt(
-                stacked.sim_read_sigma**2
-                + (self._residual_z**2) * tile_rows[None, :, None]
-            )  # (T, tiles, M)
+            read_sigma = stacked.sim_read_sigma  # (T, tiles, M)
+        # Per-tile per-column total read sigma (device + residual).
+        tile_rows = np.array([s.stop - s.start for s in slices], dtype=np.float64)
+        sigma = np.sqrt(
+            read_sigma**2 + (self._residual_z**2) * tile_rows[None, :, None]
+        )
         # Exact integer partial sums per row tile (grid units).
         partial = np.empty((trials, n_tiles, size), dtype=np.float64)
         for t, rows in enumerate(slices):

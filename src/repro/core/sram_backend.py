@@ -32,7 +32,7 @@ exact functions of the MVM shapes, identical however the batch is packed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -45,12 +45,18 @@ from repro.cim.sram.batched import (
 )
 from repro.cim.sram.counter import NegOnesCounter
 from repro.resonator.backends import (
+    STACKS,
     CodebookBatch,
     MVMBackend,
     batch_geometry,
     codebooks_per_trial,
 )
 from repro.vsa.codebook import Codebook
+
+
+def _float64_matrix(codebook: Codebook) -> np.ndarray:
+    """Float64 projection operand (exact integer sums below 2**53)."""
+    return codebook.matrix.astype(np.float64)
 
 
 class SRAMBatchedBackend(MVMBackend):
@@ -67,19 +73,6 @@ class SRAMBatchedBackend(MVMBackend):
 
     def __init__(self, *, cache: Optional[PackedCodebookCache] = None) -> None:
         self.cache = cache if cache is not None else PACKED_CODEBOOK_CACHE
-        # Id-keyed fast path in front of the content-keyed store: the
-        # resonator hits one codebook thousands of times per run, and
-        # re-fingerprinting the full matrix per MVM would cost more than
-        # the MVM itself.  Entries pin their codebook so the id key
-        # cannot be recycled.
-        self._packed: Dict[int, Tuple[Codebook, PackedCodebook]] = {}
-        # Float64 projection operands, id-keyed and pinned like the exact
-        # backend's matrix cache (the resonator reuses one codebook for
-        # thousands of MVMs).
-        self._proj: Dict[int, Tuple[Codebook, np.ndarray]] = {}
-        self._proj_stacks: Dict[
-            Tuple[int, ...], Tuple[List[Codebook], np.ndarray]
-        ] = {}
         #: Packed words streamed through the XNOR (XOR) gates.
         self.xnor_words = 0
         #: Packed words popcounted by the -1's counters.
@@ -93,36 +86,14 @@ class SRAMBatchedBackend(MVMBackend):
 
     def packed_for(self, codebook: Codebook) -> PackedCodebook:
         """This backend's frozen tier-1 bit-planes of ``codebook``."""
-        key = id(codebook)
-        entry = self._packed.get(key)
-        if entry is None or entry[0] is not codebook:
-            entry = (codebook, self.cache.get(codebook))
-            if len(self._packed) > 16:
-                self._packed.clear()
-            self._packed[key] = entry
-        return entry[1]
-
-    def _proj_matrix(self, codebook: Codebook) -> np.ndarray:
-        key = id(codebook)
-        entry = self._proj.get(key)
-        # The entry pins the codebook so the id key cannot be recycled.
-        if entry is None or entry[0] is not codebook:
-            entry = (codebook, codebook.matrix.astype(np.float64))
-            if len(self._proj) > 16:
-                self._proj.clear()
-            self._proj[key] = entry
-        return entry[1]
+        return self.cache.get(codebook)
 
     def _proj_stack(self, books: Sequence[Codebook]) -> np.ndarray:
-        key = tuple(id(book) for book in books)
-        entry = self._proj_stacks.get(key)
-        if entry is None:
-            stack = np.stack([self._proj_matrix(book) for book in books])
-            if len(self._proj_stacks) > 4:
-                self._proj_stacks.clear()
-            self._proj_stacks[key] = (list(books), stack)
-            return stack
-        return entry[1]
+        return STACKS.get(
+            "float64",
+            books,
+            lambda: np.stack([book.matrix.astype(np.float64) for book in books]),
+        )
 
     # -- MVMs --------------------------------------------------------------
     # The batch methods are the single authoritative implementation; the
@@ -171,7 +142,7 @@ class SRAMBatchedBackend(MVMBackend):
         trials = len(weights)
         dim, size = batch_geometry(codebooks)
         if isinstance(codebooks, Codebook):
-            values = weights @ self._proj_matrix(codebooks).T
+            values = weights @ codebooks.derived(_float64_matrix).T
         else:
             books = codebooks_per_trial(codebooks, trials)
             stack = self._proj_stack(books)

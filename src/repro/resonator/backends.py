@@ -51,7 +51,8 @@ which the networks feed to the deterministic op-count profiler
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from collections import OrderedDict
+from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -175,83 +176,83 @@ class MVMBackend(ABC):
         return 2 * dim * size
 
 
-class _StackCache:
-    """Process-wide cache of float32 ``(T, D, M)`` codebook tensors.
+class StackCache:
+    """Process-wide LRU of per-trial operand stacks, keyed by content.
 
-    A batched resonator run touches the same per-trial codebook subset from
-    several :class:`ExactBackend` instances (the compute backend's inner
-    oracle and the network's decoder), so the cache is shared globally:
-    each ``(T, D, M)`` tensor is built once per active-set compaction
-    instead of once per backend.  Entries hold strong references to their
-    codebooks, which pins the ``id``-based key for the entry's lifetime;
-    the cache is LRU-bounded so stacks of retired trial subsets (or
-    finished experiments) are dropped.
+    A batched run over per-trial codebooks multiplies against a stacked
+    ``(T, ...)`` tensor built from every trial's codebook (float32
+    matrices, float64 matrices, programmed conductances).  The tensor is
+    built once per active trial set and reused on every sweep.  The key
+    is a kind tag (plus whatever configuration the operand depends on)
+    and the tuple of the codebooks' fingerprints.  Codebooks are
+    immutable, so an entry can never go stale, equal codebook batches
+    share one entry, and eviction only costs a rebuild.
+
+    The bound counts entries, not bytes: a sweep cycles through one stack
+    per factor for the compute backend and one for the decoder (eight at
+    the paper's largest F = 4), and an LRU smaller than that cycle would
+    rebuild every stack on every sweep, however large.  The default
+    leaves room for one active-set compaction on top.
     """
 
-    def __init__(self, max_entries: int = 8) -> None:
-        self.max_entries = max_entries
-        self._stacks: Dict[
-            Tuple[int, ...], Tuple[List[Codebook], np.ndarray]
-        ] = {}
+    def __init__(self, max_entries: int = 12) -> None:
+        self.max_entries = int(max_entries)
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
 
-    def get(self, books: Sequence[Codebook]) -> np.ndarray:
-        books = list(books)
-        key = tuple(id(book) for book in books)
-        entry = self._stacks.get(key)
-        if entry is None:
-            stack = np.stack([book.matrix.astype(np.float32) for book in books])
-            while len(self._stacks) >= self.max_entries:
-                self._stacks.pop(next(iter(self._stacks)))
-            self._stacks[key] = (books, stack)
-            return stack
-        # Refresh LRU position.
-        self._stacks[key] = self._stacks.pop(key)
-        return entry[1]
+    def get(
+        self, kind: Hashable, books: Sequence[Codebook], build: Callable[[], Any]
+    ) -> Any:
+        """The ``kind`` stack of ``books``, built by ``build()`` on first sight."""
+        # No lock: worker processes are forked from threaded parents, and a
+        # child that inherits a held lock deadlocks on its first lookup.
+        # Each step is one OrderedDict call, atomic under the GIL; a race
+        # costs at most a rebuild or one extra eviction.
+        key = (kind, tuple(book.fingerprint for book in books))
+        entries = self._entries
+        value = entries.get(key)
+        if value is None:
+            value = entries.setdefault(key, build())
+            while len(entries) > self.max_entries:
+                entries.popitem(last=False)
+        else:
+            try:
+                entries.move_to_end(key)
+            except KeyError:  # evicted by another thread meanwhile
+                pass
+        return value
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
-_STACK_CACHE = _StackCache()
+#: The one stack store every backend shares.
+STACKS = StackCache()
 
 
-class _MatrixCache:
-    """Caches float32 views of codebook matrices keyed by object identity.
+def _float32_pair(codebook: Codebook) -> Tuple[np.ndarray, np.ndarray]:
+    matrix = codebook.matrix.astype(np.float32)
+    return matrix, matrix.T.copy()
 
-    The resonator calls the backend thousands of times with the same
-    codebooks; converting int8 -> float32 once keeps each MVM on the BLAS
-    fast path.  ``get_stack`` additionally serves the ``(T, D, M)`` tensor
-    of a per-trial codebook batch (from the process-wide
-    :class:`_StackCache`) for batched matmul.
-    """
 
-    def __init__(self) -> None:
-        self._cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def get(self, codebook: Codebook) -> Tuple[np.ndarray, np.ndarray]:
-        key = id(codebook)
-        entry = self._cache.get(key)
-        if entry is None:
-            matrix = codebook.matrix.astype(np.float32)
-            entry = (matrix, matrix.T.copy())
-            self._cache[key] = entry
-        return entry
-
-    def get_stack(self, books: Sequence[Codebook]) -> np.ndarray:
-        return _STACK_CACHE.get(books)
+def _conjugate_transpose(codebook: Codebook) -> np.ndarray:
+    return np.ascontiguousarray(codebook.matrix.conj().T)
 
 
 class ExactBackend(MVMBackend):
-    """Bit-exact software MVMs - the deterministic baseline resonator."""
+    """Bit-exact software MVMs - the deterministic baseline resonator.
+
+    Float32 copies of the codebooks (kept on each codebook, stacks in
+    :data:`STACKS`) keep every MVM on the BLAS fast path.
+    """
 
     deterministic = True
 
-    def __init__(self) -> None:
-        self._cache = _MatrixCache()
-
     def similarity(self, codebook: Codebook, query: np.ndarray) -> np.ndarray:
-        _, transposed = self._cache.get(codebook)
+        _, transposed = codebook.derived(_float32_pair)
         return transposed @ np.asarray(query, dtype=np.float32)
 
     def project(self, codebook: Codebook, weights: np.ndarray) -> np.ndarray:
-        matrix, _ = self._cache.get(codebook)
+        matrix, _ = codebook.derived(_float32_pair)
         return matrix @ np.asarray(weights, dtype=np.float32)
 
     def similarity_batch(
@@ -259,9 +260,9 @@ class ExactBackend(MVMBackend):
     ) -> np.ndarray:
         queries = np.asarray(queries, dtype=np.float32)
         if isinstance(codebooks, Codebook):
-            matrix, _ = self._cache.get(codebooks)
+            matrix, _ = codebooks.derived(_float32_pair)
             return queries @ matrix
-        stack = self._cache.get_stack(codebooks_per_trial(codebooks, len(queries)))
+        stack = self.stack32(codebooks_per_trial(codebooks, len(queries)))
         return np.matmul(queries[:, None, :], stack)[:, 0, :]
 
     def project_batch(
@@ -269,19 +270,23 @@ class ExactBackend(MVMBackend):
     ) -> np.ndarray:
         weights = np.asarray(weights, dtype=np.float32)
         if isinstance(codebooks, Codebook):
-            _, transposed = self._cache.get(codebooks)
+            _, transposed = codebooks.derived(_float32_pair)
             return weights @ transposed
-        stack = self._cache.get_stack(codebooks_per_trial(codebooks, len(weights)))
+        stack = self.stack32(codebooks_per_trial(codebooks, len(weights)))
         return np.matmul(stack, weights[:, :, None])[:, :, 0]
 
     def matrix32(self, codebook: Codebook) -> np.ndarray:
         """Cached float32 view of ``codebook.matrix`` (``(dim, size)``)."""
-        matrix, _ = self._cache.get(codebook)
+        matrix, _ = codebook.derived(_float32_pair)
         return matrix
 
     def stack32(self, books: Sequence[Codebook]) -> np.ndarray:
         """Cached float32 ``(trials, dim, size)`` tensor of per-trial books."""
-        return self._cache.get_stack(list(books))
+        return STACKS.get(
+            "float32",
+            books,
+            lambda: np.stack([book.matrix.astype(np.float32) for book in books]),
+        )
 
     def __repr__(self) -> str:
         return "ExactBackend()"
@@ -309,22 +314,9 @@ class PhasorBackend(MVMBackend):
     deterministic = True
     supports_complex = True
 
-    def __init__(self) -> None:
-        # Cache the conjugate transpose per codebook: the resonator calls
-        # similarity() thousands of times against the same matrix.
-        self._conj_t: Dict[int, Tuple[Codebook, np.ndarray]] = {}
-
-    def _conjugate_transpose(self, codebook: Codebook) -> np.ndarray:
-        key = id(codebook)
-        entry = self._conj_t.get(key)
-        if entry is None:
-            entry = (codebook, np.ascontiguousarray(codebook.matrix.conj().T))
-            self._conj_t[key] = entry
-        return entry[1]
-
     def similarity(self, codebook: Codebook, query: np.ndarray) -> np.ndarray:
         query = np.asarray(query, dtype=np.complex128)
-        return np.real(self._conjugate_transpose(codebook) @ query)
+        return np.real(codebook.derived(_conjugate_transpose) @ query)
 
     def project(self, codebook: Codebook, weights: np.ndarray) -> np.ndarray:
         weights = np.asarray(weights, dtype=np.float64)

@@ -27,10 +27,10 @@ touched - locks because its similarity (≈ D) towers over the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.errors import ConfigurationError
 from repro.resonator.backends import (
@@ -42,6 +42,21 @@ from repro.resonator.backends import (
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_positive
 from repro.vsa.codebook import Codebook
+
+
+@lru_cache(maxsize=None)
+def _upper_quantile(tail: float) -> float:
+    """Standard-normal upper-tail quantile ``norm.isf(tail)``, memoized.
+
+    Only a handful of distinct tails occur (one per codebook size), while
+    the threshold is read on every sweep.  scipy is imported here rather
+    than at module level because it dominates ``import repro`` time.
+    Keep scipy's values: ``statistics.NormalDist`` differs in the last
+    bit at some tails, which can flip threshold comparisons.
+    """
+    from scipy.stats import norm
+
+    return float(norm.isf(tail))
 
 
 @dataclass(frozen=True)
@@ -74,7 +89,7 @@ class ThresholdPolicy:
         if self.fixed_zscore is not None:
             return float(self.fixed_zscore * effective_scale)
         tail = min(0.5, self.target_pass_count / max(codebook_size, 1))
-        return float(norm.isf(tail) * effective_scale)
+        return float(_upper_quantile(tail) * effective_scale)
 
 
 class StochasticThresholdBackend(MVMBackend):

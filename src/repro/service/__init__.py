@@ -56,13 +56,7 @@ from repro.service.scheduler import (
     FactorizationService,
     ServiceStats,
 )
-from repro.service.sharding import (
-    CellOutcome,
-    ConsistentHashRing,
-    SweepCell,
-    run_cell,
-    run_cells,
-)
+from repro.service.sharding import ConsistentHashRing
 from repro.service.transport import (
     InProcessTransport,
     Transport,
@@ -77,7 +71,6 @@ from repro.service.workers import (
 __all__ = [
     "BASELINE_PROFILE",
     "BatchPolicy",
-    "CellOutcome",
     "CodebookRegistry",
     "ConsistentHashRing",
     "FactorizationRequest",
@@ -92,7 +85,6 @@ __all__ = [
     "ServeBenchResult",
     "ServiceStats",
     "ShardedWorkerPool",
-    "SweepCell",
     "Transport",
     "WorkerPoolConfig",
     "check_profile",
@@ -101,8 +93,6 @@ __all__ = [
     "group_by_geometry",
     "network_factory_for",
     "request_routing_key",
-    "run_cell",
-    "run_cells",
     "run_group",
     "run_problems_grouped",
     "run_serve_bench",

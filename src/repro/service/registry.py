@@ -25,7 +25,7 @@ from typing import Tuple
 
 from repro.errors import ConfigurationError, UnknownCodebookError
 from repro.telemetry import get_log
-from repro.vsa.codebook import CodebookSet, codebook_set_fingerprint
+from repro.vsa.codebook import CodebookSet
 
 
 def codebook_fingerprint(codebooks: CodebookSet) -> str:
@@ -37,9 +37,10 @@ def codebook_fingerprint(codebooks: CodebookSet) -> str:
     (:func:`repro.vsa.codebook.codebook_set_fingerprint`) so that lower
     layers - notably the crossbar conductance cache of
     :mod:`repro.core.crossbar_backend` - key off the same content identity
-    without importing the serving stack.
+    without importing the serving stack.  Sets are immutable, so this is
+    the set's cached :attr:`~repro.vsa.codebook.CodebookSet.fingerprint`.
     """
-    return codebook_set_fingerprint(codebooks)
+    return codebooks.fingerprint
 
 
 @dataclass
@@ -81,7 +82,7 @@ class CodebookRegistry:
         recency); a miss programs this instance, evicting the
         least-recently-used set if the registry is at capacity.
         """
-        key = codebook_fingerprint(codebooks)
+        key = codebooks.fingerprint
         evicted = 0
         with self._lock:
             cached = self._entries.get(key)

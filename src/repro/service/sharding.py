@@ -1,123 +1,23 @@
-"""Process sharding: sweep cells and live-traffic routing.
+"""Consistent-hash routing of live traffic onto shards and nodes.
 
-The thread worker pool is the right tool for serving one process's
-traffic (numpy releases the GIL inside the stacked MVMs), but independent
-work parallelizes better across *processes*: each shard owns its arrays
-and interpreter.  This module covers both sharded workloads the repo has:
-
-* **Sweep cells** - a grid sweep's independent (design, F, M) cells as
-  picklable :class:`SweepCell` objects fanned over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` (:func:`run_cells`).
-* **Live traffic** - the :class:`ConsistentHashRing` the serving tier's
-  :class:`~repro.service.workers.ShardedWorkerPool` routes requests with.
-  Routing hashes the *codebook fingerprint*, so every request against one
-  codebook set lands on the shard that programmed it (program-once
-  amortization survives sharding), and the ring's virtual nodes keep the
-  key space balanced and mostly stable when the shard count changes.
-
-Cells and requests are seeded individually, so the outcome of a unit of
-work is independent of which shard ran it and of the shard count - the
-same arrival-order-independence contract the request scheduler gives
-individual requests.
+The :class:`ConsistentHashRing` is what the serving tier's
+:class:`~repro.service.workers.ShardedWorkerPool` routes requests with,
+and what the cluster shard map (:mod:`repro.cluster.shardmap`) places
+codebook sets with.  Routing hashes the *codebook fingerprint*, so every
+request against one codebook set lands on the shard that programmed it
+(program-once amortization survives sharding), and the ring's virtual
+nodes keep the key space balanced and mostly stable when the shard count
+changes.  Requests are seeded individually, so a request's outcome is
+independent of which shard ran it and of the shard count.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
-
-_DESIGNS = ("baseline", "h3d")
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One picklable grid cell of an accuracy sweep."""
-
-    dim: int
-    num_factors: int
-    codebook_size: int
-    trials: int
-    seed: int
-    max_iterations: int = 500
-    design: str = "baseline"
-    share_codebooks: bool = False
-
-    def __post_init__(self) -> None:
-        if self.design not in _DESIGNS:
-            raise ConfigurationError(
-                f"design must be one of {_DESIGNS}, got {self.design!r}"
-            )
-
-
-@dataclass(frozen=True)
-class CellOutcome:
-    """Aggregate results of one cell (picklable, shard-independent)."""
-
-    cell: SweepCell
-    accuracy: float
-    mean_iterations: float
-    solved: int
-
-
-def run_cell(cell: SweepCell) -> CellOutcome:
-    """Execute one cell in the current process (the shard worker body)."""
-    # Imported here so a spawned shard pays the import cost itself and the
-    # module stays cheap to pickle.
-    from repro.core.engine import H3DFact, baseline_network
-    from repro.resonator.batch import factorize_batch
-    from repro.utils.rng import as_rng
-
-    rng = as_rng(cell.seed)
-    if cell.design == "h3d":
-        engine = H3DFact(rng=rng)
-        factory = lambda p: engine.make_network(  # noqa: E731
-            p.codebooks, max_iterations=cell.max_iterations
-        )
-    else:
-        factory = lambda p: baseline_network(  # noqa: E731
-            p.codebooks, max_iterations=cell.max_iterations, rng=rng
-        )
-    batch = factorize_batch(
-        factory,
-        dim=cell.dim,
-        num_factors=cell.num_factors,
-        codebook_size=cell.codebook_size,
-        trials=cell.trials,
-        max_iterations=cell.max_iterations,
-        rng=rng,
-        share_codebooks=cell.share_codebooks,
-    )
-    solved = sum(1 for result in batch.results if result.correct)
-    return CellOutcome(
-        cell=cell,
-        accuracy=batch.accuracy,
-        mean_iterations=batch.mean_iterations,
-        solved=solved,
-    )
-
-
-def run_cells(
-    cells: Sequence[SweepCell], *, processes: Optional[int] = None
-) -> List[CellOutcome]:
-    """Run a cell list, optionally sharded over worker processes.
-
-    ``processes=None`` (or ``<= 1``) runs in-process; otherwise the cells
-    fan out over a :class:`~concurrent.futures.ProcessPoolExecutor` and
-    the outcomes return in input order.  Per-cell seeding makes the
-    outcomes identical either way.
-    """
-    cells = list(cells)
-    if not cells:
-        return []
-    if processes is None or processes <= 1:
-        return [run_cell(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(run_cell, cells))
 
 
 class ConsistentHashRing:

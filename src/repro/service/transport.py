@@ -28,7 +28,6 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.errors import RequestTimeoutError
-from repro.service.registry import codebook_fingerprint
 from repro.service.request import FactorizationRequest, FactorizationResponse
 from repro.service.scheduler import FactorizationService
 from repro.telemetry import get_log, mint_trace_id
@@ -238,4 +237,4 @@ def request_routing_key(request: FactorizationRequest) -> str:
     """
     if request.codebook_key is not None:
         return request.codebook_key
-    return codebook_fingerprint(request.codebooks)
+    return request.codebooks.fingerprint

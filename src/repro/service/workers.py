@@ -53,7 +53,7 @@ from repro.errors import (
     WorkerLostError,
 )
 from repro.service import wire
-from repro.service.registry import CodebookRegistry, codebook_fingerprint
+from repro.service.registry import CodebookRegistry
 from repro.service.request import FactorizationRequest, FactorizationResponse
 from repro.service.scheduler import BatchPolicy, FactorizationService
 from repro.service.sharding import ConsistentHashRing
@@ -409,6 +409,10 @@ class ShardedWorkerPool(Transport):
     def _handle_loss(self, shard: _Shard) -> None:
         """Called with the lock held: one shard generation died."""
         shard.stop_listening.set()
+        # Nobody will read this inbox again.  Its feeder thread may be
+        # blocked on a full pipe (the read end stays open in this process),
+        # and joining it at interpreter exit would hang forever.
+        shard.inbox.cancel_join_thread()
         self.stats.worker_losses += 1
         lost = [
             job_id
@@ -601,7 +605,7 @@ class ShardedWorkerPool(Transport):
         re-programmed without client involvement.
         """
         payload = wire.encode_codebooks(codebooks)
-        key = codebook_fingerprint(codebooks)
+        key = codebooks.fingerprint
         with self._lock:
             self._registered[key] = payload
         index = self.ring.route(key)
@@ -679,6 +683,7 @@ class ShardedWorkerPool(Transport):
             if shard.process.is_alive():
                 shard.process.kill()
                 shard.process.join(timeout=2.0)
+            shard.inbox.cancel_join_thread()  # see _handle_loss
             shard.stop_listening.set()
         for shard in shards:
             if shard.listener is not None:

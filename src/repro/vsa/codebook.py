@@ -4,13 +4,21 @@ A :class:`Codebook` is the ``D x M`` matrix of item vectors for one
 attribute (e.g. all shapes); a :class:`CodebookSet` holds one codebook per
 attribute and is the second input to the resonator network (the first being
 the product vector to factorize).
+
+Both are immutable values, like the arrays they model: an RRAM codebook is
+programmed once and then only read (Sec. IV-A).  A codebook owns a
+read-only copy of its matrix, so its content hash (:attr:`Codebook.fingerprint`,
+:attr:`CodebookSet.fingerprint`) is computed once, on first use.  Operands
+derived from one codebook are kept on the value (:meth:`Codebook.derived`);
+every cache that spans codebooks keys on the content hash, never on
+object identity.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,9 +29,15 @@ from repro.vsa import fhrr
 from repro.vsa.ops import DEFAULT_DTYPE, random_hypervector
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """Item vectors for one attribute.
+    """Item vectors for one attribute - an immutable value.
+
+    The constructor copies ``matrix`` into a read-only array the codebook
+    owns (the caller's array is left untouched), so the content can never
+    change after construction and :attr:`fingerprint` is hashed at most
+    once per object.  Pickling rebuilds through the constructor, so a
+    codebook that crosses a process boundary arrives read-only too.
 
     Attributes
     ----------
@@ -34,7 +48,7 @@ class Codebook:
         codebooks hold -1/+1 int8 entries, FHRR codebooks hold complex128
         unitary phasors.
     labels:
-        Optional item labels, e.g. ``["circle", "triangle"]``.
+        Optional item labels, e.g. ``("circle", "triangle")``.
     algebra:
         ``"bipolar"`` (the paper's MAP VSA, default) or ``"fhrr"``
         (circular-convolution binding, :mod:`repro.vsa.fhrr`).
@@ -42,7 +56,7 @@ class Codebook:
 
     name: str
     matrix: np.ndarray
-    labels: Optional[List[str]] = None
+    labels: Optional[Tuple[str, ...]] = None
     algebra: str = "bipolar"
 
     def __post_init__(self) -> None:
@@ -51,20 +65,56 @@ class Codebook:
                 f"codebook {self.name!r}: algebra must be 'bipolar' or "
                 f"'fhrr', got {self.algebra!r}"
             )
-        self.matrix = np.asarray(self.matrix)
-        if self.algebra == "fhrr":
-            self.matrix = self.matrix.astype(fhrr.COMPLEX_DTYPE, copy=False)
-        if self.matrix.ndim != 2:
+        dtype = fhrr.COMPLEX_DTYPE if self.algebra == "fhrr" else None
+        matrix = np.array(self.matrix, dtype=dtype)  # always a private copy
+        if matrix.ndim != 2:
             raise DimensionError(
                 f"codebook {self.name!r} matrix must be 2-D, got "
-                f"{self.matrix.ndim}-D"
+                f"{matrix.ndim}-D"
             )
-        check_vector(f"codebook {self.name!r}", self.matrix, algebra=self.algebra)
-        if self.labels is not None and len(self.labels) != self.size:
-            raise CodebookError(
-                f"codebook {self.name!r} has {self.size} items but "
-                f"{len(self.labels)} labels"
-            )
+        check_vector(f"codebook {self.name!r}", matrix, algebra=self.algebra)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
+            if len(self.labels) != self.size:
+                raise CodebookError(
+                    f"codebook {self.name!r} has {self.size} items but "
+                    f"{len(self.labels)} labels"
+                )
+
+    def __reduce__(self):
+        # Unpickled arrays come back writeable: rebuild (and re-freeze)
+        # through the constructor instead of restoring the instance dict.
+        return type(self), (self.name, self.matrix, self.labels, self.algebra)
+
+    @property
+    def fingerprint(self) -> str:
+        """Content hash of the item vectors (:func:`codebook_fingerprint`)."""
+        fingerprint = self.__dict__.get("_fingerprint")
+        if fingerprint is None:
+            # Deliberately not functools.cached_property: on Python 3.11 it
+            # holds one class-wide lock while hashing, and a worker process
+            # forked at that moment would deadlock on its first hash.  A
+            # race here only hashes twice.
+            fingerprint = self.__dict__["_fingerprint"] = codebook_fingerprint(self)
+        return fingerprint
+
+    def derived(self, build: Callable[["Codebook"], Any]) -> Any:
+        """``build(self)``, computed on first use and kept with this value.
+
+        For operands backends derive from the matrix (dtype views,
+        transposes).  Keyed by the pure function ``build``, they live
+        exactly as long as the codebook, can never be served for another
+        one, and are not pickled (:meth:`__reduce__` rebuilds from the
+        fields).
+        """
+        memo = self.__dict__.setdefault("_derived", {})
+        try:
+            return memo[build]
+        except KeyError:
+            value = memo[build] = build(self)
+            return value
 
     # -- construction ---------------------------------------------------
 
@@ -92,7 +142,7 @@ class Codebook:
         return cls(
             name=name,
             matrix=matrix,
-            labels=list(labels) if labels else None,
+            labels=tuple(labels) if labels else None,
             algebra=algebra,
         )
 
@@ -181,13 +231,18 @@ class Codebook:
         return bool(np.max(sims) == self.dim)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CodebookSet:
-    """One codebook per attribute, sharing a hypervector dimension."""
+    """One codebook per attribute, sharing a hypervector dimension.
 
-    codebooks: List[Codebook] = field(default_factory=list)
+    Immutable like its members: the codebooks are held in a tuple and the
+    set's :attr:`fingerprint` is hashed at most once per object.
+    """
+
+    codebooks: Tuple[Codebook, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "codebooks", tuple(self.codebooks))
         if not self.codebooks:
             raise CodebookError("CodebookSet requires at least one codebook")
         dims = {cb.dim for cb in self.codebooks}
@@ -203,6 +258,19 @@ class CodebookSet:
         names = [cb.name for cb in self.codebooks]
         if len(set(names)) != len(names):
             raise CodebookError(f"duplicate codebook names: {names}")
+
+    def __reduce__(self):
+        return type(self), (self.codebooks,)
+
+    @property
+    def fingerprint(self) -> str:
+        """Content hash of the set (:func:`codebook_set_fingerprint`)."""
+        fingerprint = self.__dict__.get("_fingerprint")
+        if fingerprint is None:  # no lock: see Codebook.fingerprint
+            fingerprint = self.__dict__["_fingerprint"] = codebook_set_fingerprint(
+                self
+            )
+        return fingerprint
 
     @classmethod
     def random(
@@ -317,10 +385,13 @@ class CodebookSet:
 # -- content addressing -------------------------------------------------------
 #
 # Content hashes are the "same arrays would be programmed" equivalence used
-# by the serving registry (:mod:`repro.service.registry`) and the crossbar
-# conductance cache (:mod:`repro.core.crossbar_backend`): two codebooks with
-# identical item vectors hash identically regardless of object identity or
-# the float dtype their matrices are stored in.
+# by the serving registry (:mod:`repro.service.registry`) and by every cache
+# spanning codebooks (conductances, packed bit-planes, per-trial stacks):
+# two codebooks with identical item vectors hash identically regardless of
+# object identity or the float dtype their matrices are stored in.  The
+# byte format is pinned: it seeds crossbar programming
+# (:func:`repro.cim.rram.batched.conductance_rng`).  Callers read the cached
+# ``.fingerprint`` of the value; these functions compute it.
 
 
 def _matrix_digest_bytes(codebook: Codebook) -> bytes:

@@ -1,8 +1,7 @@
-"""Tests for process-sharded experiment sweeps and ring placement.
+"""Tests for consistent-hash ring placement.
 
-The second half pins the consistent-hash ring's minimal-movement
-property over node-id vocabularies - the contract the cluster tier's
-shard map rebalancing is built on.
+Pins the ring's minimal-movement property over node-id vocabularies -
+the contract the cluster tier's shard map rebalancing is built on.
 """
 
 import hashlib
@@ -10,76 +9,7 @@ import hashlib
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service import CellOutcome, ConsistentHashRing, SweepCell, run_cell, run_cells
-
-
-def small_cells():
-    return [
-        SweepCell(
-            dim=256,
-            num_factors=3,
-            codebook_size=9,
-            trials=4,
-            seed=seed,
-            max_iterations=100,
-        )
-        for seed in range(3)
-    ]
-
-
-class TestSweepCell:
-    def test_invalid_design_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepCell(
-                dim=128,
-                num_factors=2,
-                codebook_size=4,
-                trials=1,
-                seed=0,
-                design="pcm",
-            )
-
-    def test_run_cell_outcome(self):
-        outcome = run_cell(small_cells()[0])
-        assert isinstance(outcome, CellOutcome)
-        assert 0.0 <= outcome.accuracy <= 1.0
-        assert outcome.solved <= outcome.cell.trials
-
-    def test_h3d_design_cell(self):
-        outcome = run_cell(
-            SweepCell(
-                dim=256,
-                num_factors=3,
-                codebook_size=4,
-                trials=3,
-                seed=1,
-                max_iterations=200,
-                design="h3d",
-            )
-        )
-        assert outcome.accuracy >= 2 / 3
-
-
-class TestRunCells:
-    def test_empty_list(self):
-        assert run_cells([]) == []
-
-    def test_in_process_outcomes_in_order(self):
-        cells = small_cells()
-        outcomes = run_cells(cells)
-        assert [o.cell for o in outcomes] == cells
-
-    @pytest.mark.slow
-    def test_process_shards_match_in_process(self):
-        """Per-cell seeding: outcomes identical regardless of shard count."""
-        cells = small_cells()
-        in_process = run_cells(cells)
-        sharded = run_cells(cells, processes=2)
-        for a, b in zip(in_process, sharded):
-            assert a.cell == b.cell
-            assert a.accuracy == b.accuracy
-            assert a.mean_iterations == b.mean_iterations
-            assert a.solved == b.solved
+from repro.service import ConsistentHashRing
 
 
 def fingerprint_corpus(count):
